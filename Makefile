@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build vet fmt test race bench-baseline bench-ckpt bench-simnet bench-adapt bench-farm bench-spectral bench-fft race-ckpt race-simnet race-sched-single race-sched-multi race-policy race-farm race-spectral
+.PHONY: check build vet fmt test race bench-baseline bench-ckpt bench-simnet bench-adapt bench-farm bench-spectral bench-fft race-ckpt race-simnet race-sched race-policy race-farm race-spectral
 
 build:
 	$(GO) build ./...
@@ -36,40 +36,33 @@ bench-baseline:
 bench-ckpt:
 	BENCH_CKPT=1 $(GO) test ./internal/bench -run TestWriteCkptBaseline -count=1 -v
 
-# The async writer is the only real host-side concurrency in the repo
-# besides the parallel simnet scheduler; hammer it under the race
-# detector beyond the single pass `race` gives.
+# The async writer is the only real host-side concurrency in the
+# simulated runs (simnet runs one rank goroutine at a time); hammer it
+# under the race detector beyond the single pass `race` gives.
 race-ckpt:
 	$(GO) test -race -count=2 ./internal/ckpt
 
-# Force the host-parallel simnet scheduler (SchedAuto falls back to
-# serial on one core) and put every layer that runs rank goroutines —
-# the simulator itself, the MPI layer, all three solvers, faults, and
-# the supervisor — under the race detector.
+# Put every layer that runs rank goroutines — the simulator itself,
+# the MPI layer, all three solvers, faults, and the supervisor — under
+# the race detector. Ranks run one at a time, handing control over
+# through channels; the detector checks that every handoff orders the
+# state the ranks share.
 race-simnet:
-	NEKTAR_SIMNET_SCHED=parallel $(GO) test -race -count=1 \
+	$(GO) test -race -count=1 \
 		./internal/simnet ./internal/mpi ./internal/fault \
 		./internal/core ./internal/supervisor ./internal/bench
 
-# The scheduler-equivalence suites (serial vs conservative-parallel
-# differential, relaxed statistical equivalence, resolver validation,
-# P=2048 capacity) must hold on both a single-core budget — where auto
-# falls back to serial and relaxed still has to make progress — and a
-# multi-core one, where the conservative scheduler must stay
-# bit-identical while goroutines genuinely interleave. Both pins run
-# race-enabled.
-race-sched-single:
-	GOMAXPROCS=1 $(GO) test -race -count=1 \
-		-run 'Scheduler|Relaxed|ManyRanks' ./internal/simnet ./internal/mpi
-race-sched-multi:
-	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'Scheduler|Relaxed|ManyRanks' ./internal/simnet ./internal/mpi
+# The scheduler suites — the pinned virtual-clock digests over every
+# primitive and fault plan, resolver validation, and the P=2048
+# capacity run — race-enabled and repeated, so a handoff that leaks
+# state between ranks or a replay that moves a clock shows up.
+race-sched:
+	$(GO) test -race -count=2 \
+		-run 'Scheduler|ManyRanks' ./internal/simnet
 
-# Regenerate the committed scheduler-speedup baseline
-# (BENCH_simnet.json at the repo root), including the relaxed-scheduler
-# capacity sweep to P=1024. The speedups only mean something relative
-# to the recorded GOMAXPROCS/core count; a 1-core host is refused
-# unless BENCH_SIMNET_FORCE=1 is also set.
+# Regenerate the committed capacity sweep (BENCH_simnet.json at the
+# repo root): the PMS and Tanaka interconnect models from P=64 to
+# P=1024, weak and strong scaling.
 bench-simnet:
 	BENCH_SIMNET=1 $(GO) test ./internal/bench -run TestWriteSimnetBaseline -count=1 -v -timeout 30m
 
@@ -101,19 +94,17 @@ race-farm:
 	$(GO) test -race -count=1 ./internal/farm \
 		&& $(GO) test -race -count=1 ./internal/bench -run TestFarmbenchChaos
 
-# The pseudospectral solvers run per-thread flop recorders and the
-# distributed transpose inside rank goroutines; force the parallel
-# scheduler and put the package plus its transform substrate under the
-# race detector.
+# The pseudospectral solvers run flop recording and the distributed
+# transpose inside rank goroutines; put the package plus its transform
+# substrate under the race detector.
 race-spectral:
-	NEKTAR_SIMNET_SCHED=parallel $(GO) test -race -count=1 \
+	$(GO) test -race -count=1 \
 		./internal/spectral ./internal/fft
 
 # Regenerate the committed serial-vs-slab spectral baseline
 # (BENCH_spectral.json at the repo root). Bit-identity between the
-# serial reference and both scheduler runs is enforced before any
-# number is written; a 1-core host is refused unless
-# BENCH_SPECTRAL_FORCE=1 is also set.
+# one-rank reference and every slab run is enforced before any number
+# is written.
 bench-spectral:
 	BENCH_SPECTRAL=1 $(GO) test ./internal/bench -run TestWriteSpectralBaseline -count=1 -v -timeout 30m
 

@@ -214,18 +214,6 @@ var experiments = []experiment{
 		}
 		return nil
 	}},
-	{"simbench", "simnet scheduler: host wall-clock, serial vs parallel", func(w io.Writer, quick bool) error {
-		cfg := bench.PaperSimbench
-		if quick {
-			cfg = bench.QuickSimbench
-		}
-		_, tbl, err := bench.RunSimbench(cfg)
-		if err != nil {
-			return err
-		}
-		tbl.Write(w)
-		return nil
-	}},
 	{"spectral", "pseudospectral turbulence: serial vs slab bit-identity + online spectra", func(w io.Writer, quick bool) error {
 		cfg := bench.PaperSpectral
 		if quick {

@@ -1,15 +1,10 @@
-// Command simbench measures what the host-parallel simnet scheduler
-// buys: each cell runs one registered workload at one rank count under
-// the serial and the parallel scheduler, verifies the two runs agree
-// bit-for-bit on every rank's virtual clocks, and reports the real
-// host wall-clock of both with the speedup. GOMAXPROCS and the host
-// core count are printed alongside, since they bound the speedup.
+// Command simbench runs the simnet capacity sweep: the PMS Fast
+// Ethernet and Tanaka kernel-bypass GbE interconnect models at
+// P=64..1024, weak and strong scaling, for the communication skeleton
+// and the live pseudospectral solvers. It prints virtual seconds per
+// step, parallel efficiency and the host seconds each cell took.
 //
-// -scale appends the relaxed-scheduler capacity sweep (the PMS and
-// Tanaka interconnect models at P=64..1024). -out writes the combined
-// result as the BENCH_simnet.json baseline; overwriting from a 1-core
-// host is refused unless -force, because core-starved speedups are
-// noise, not a baseline.
+// -out writes the result as the BENCH_simnet.json baseline.
 package main
 
 import (
@@ -17,80 +12,33 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	"nektar/internal/bench"
 	"nektar/internal/cliutil"
 )
 
-// parseCells turns "nsf:8,nsf:32,nsale:16" into the sweep cells.
-func parseCells(s string) ([]bench.SimbenchCell, error) {
-	var cells []bench.SimbenchCell
-	for _, part := range strings.Split(s, ",") {
-		wl, ps, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("cell %q: want workload:procs", part)
-		}
-		p, err := strconv.Atoi(ps)
-		if err != nil {
-			return nil, fmt.Errorf("cell %q: %v", part, err)
-		}
-		cells = append(cells, bench.SimbenchCell{Workload: wl, Procs: p})
-	}
-	return cells, nil
-}
-
-func defaultCells() string {
-	parts := make([]string, len(bench.PaperSimbench.Cells))
-	for i, c := range bench.PaperSimbench.Cells {
-		parts[i] = fmt.Sprintf("%s:%d", c.Workload, c.Procs)
-	}
-	return strings.Join(parts, ",")
-}
-
 func main() {
-	cellsFlag := flag.String("cells", defaultCells(), "comma-separated workload:procs cells")
-	steps := flag.Int("steps", bench.PaperSimbench.Steps, "solver steps per run")
-	scale := flag.Bool("scale", false, "also run the relaxed-scheduler capacity sweep (PMS/Tanaka, P=64..1024)")
 	out := flag.String("out", "", "write the result as a BENCH_simnet.json baseline to this file")
-	force := flag.Bool("force", false, "allow -out to overwrite the baseline from a 1-core host")
 	prof := cliutil.ProfileFlags(flag.CommandLine)
 	flag.Parse()
 
-	cells, err := parseCells(*cellsFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-		os.Exit(2)
-	}
 	if err := prof.Start(); err != nil {
 		fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
 		os.Exit(2)
 	}
-
-	res, tbl, err := bench.RunSimbench(bench.SimbenchConfig{Cells: cells, Steps: *steps})
+	res, tbl, err := bench.RunScalebench(bench.PaperScalebench)
 	if err != nil {
 		log.Fatal(err)
 	}
 	tbl.Write(os.Stdout)
-	if *scale {
-		scaleRes, scaleTbl, err := bench.RunScalebench(bench.PaperScalebench)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res.Scale = scaleRes
-		fmt.Println()
-		scaleTbl.Write(os.Stdout)
-	}
-
 	if err := prof.Stop(); err != nil {
 		log.Fatal(err)
 	}
 	if *out != "" {
-		if err := bench.WriteSimnetBaseline(*out, res, *force); err != nil {
+		if err := bench.WriteBaseline(*out, res); err != nil {
 			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
 			os.Exit(2)
 		}
-		fmt.Printf("\nwrote %s (GOMAXPROCS=%d, host cores=%d)\n", *out, res.GoMaxProcs, res.NumCPU)
+		fmt.Printf("\nwrote %s\n", *out)
 	}
 }

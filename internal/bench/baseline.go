@@ -2,29 +2,13 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
-	"runtime"
 )
 
-// WriteSimnetBaseline records res as the committed scheduler baseline
-// at path. A single-core host cannot measure what the parallel
-// scheduler buys — every speedup it records is bounded by 1x and would
-// silently replace a multi-core measurement with noise — so without
-// force the write is refused when runtime.NumCPU() == 1. The force
-// path still stamps GoMaxProcs/NumCPU into the file, so a deliberately
-// recorded 1-core baseline is at least honest about its core budget.
-func WriteSimnetBaseline(path string, res *SimbenchResult, force bool) error {
-	if runtime.NumCPU() == 1 && !force {
-		return fmt.Errorf(
-			"bench: refusing to overwrite %s from a 1-core host: the serial-vs-parallel speedups would be core-starved noise, not a baseline; re-run on a multi-core host, or pass -force to record anyway (the file stamps NumCPU=1 so readers can discount it)",
-			path)
-	}
-	return writeBaselineJSON(path, res)
-}
-
-// writeBaselineJSON renders a baseline schema to its committed file.
-func writeBaselineJSON(path string, res any) error {
+// WriteBaseline renders a baseline schema (a ScalebenchResult for
+// BENCH_simnet.json, a SpectralBenchResult for BENCH_spectral.json) to
+// its committed file.
+func WriteBaseline(path string, res any) error {
 	buf, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return err

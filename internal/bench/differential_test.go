@@ -14,12 +14,14 @@ import (
 	"nektar/internal/simnet"
 )
 
-// Scheduler equivalence over the real solvers: every registered
-// workload, run under the serial and the parallel simnet scheduler,
-// with and without a fault plan, must produce bit-identical per-rank
+// Replay determinism over the real solvers: every registered workload,
+// run twice under a fault plan, must produce bit-identical per-rank
 // virtual wall/cpu clocks and bit-identical solver trajectories
 // (compared as hashes of the checkpoint stream — pure slices and ints,
-// so equal state encodes to equal bytes within one process).
+// so equal state encodes to equal bytes within one process). The fault
+// plan is the interesting half: degradation factors and stall windows
+// fire at virtual instants, so any host-order dependence in when they
+// are consulted would show up as a clock or trajectory difference.
 
 type diffRun struct {
 	wall, cpu []float64
@@ -27,21 +29,15 @@ type diffRun struct {
 	errStr    string
 }
 
-func runWorkloadDiff(t *testing.T, wlName string, p, steps int, sched simnet.Scheduler, plan *fault.Plan) diffRun {
+func runWorkloadDiff(t *testing.T, wlName string, p, steps int, plan *fault.Plan) diffRun {
 	t.Helper()
 	wl, err := WorkloadByName(wlName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mach := machine.Muses()
-	model := *mach.Net
-	model.Scheduler = sched
-	var inj simnet.Injector
-	if plan != nil {
-		inj = plan
-	}
 	hashes := make([]string, p)
-	wall, cpu, runErr := simnet.RunWithFaults(p, &model, inj, func(n *simnet.Node) {
+	wall, cpu, runErr := simnet.RunWithFaults(p, mach.Net, plan, func(n *simnet.Node) {
 		comm := mpi.World(n)
 		s, err := wl.New(comm, &mach.CPU)
 		if err != nil {
@@ -62,8 +58,8 @@ func runWorkloadDiff(t *testing.T, wlName string, p, steps int, sched simnet.Sch
 
 // diffPlan builds the fault plan for the faulty half of the matrix:
 // link degradation, a NIC stall window, and a rank stall — faults the
-// raw-mode solver communicators survive (drops and crashes are covered
-// differentially at the primitive level in internal/simnet).
+// raw-mode solver communicators survive (drops and crashes are pinned
+// at the primitive level in internal/simnet's scheduler tests).
 func diffPlan(p int) *fault.Plan {
 	plan := fault.NewPlan(11).
 		DegradeLink(0, 1, 1e-3, 1e9, 2, 2.5).
@@ -82,31 +78,25 @@ func TestSchedulerDifferentialWorkloads(t *testing.T) {
 		if !ok {
 			p = 4 // power-of-two default for workloads registered later
 		}
-		for _, faulty := range []bool{false, true} {
-			label := fmt.Sprintf("%s/p=%d/faults=%v", name, p, faulty)
-			var planS, planP *fault.Plan
-			if faulty {
-				planS, planP = diffPlan(p), diffPlan(p)
+		label := fmt.Sprintf("%s/p=%d", name, p)
+		const steps = 2
+		first := runWorkloadDiff(t, name, p, steps, diffPlan(p))
+		second := runWorkloadDiff(t, name, p, steps, diffPlan(p))
+		if first.errStr != second.errStr {
+			t.Fatalf("%s: error changed on replay:\nfirst:  %s\nsecond: %s", label, first.errStr, second.errStr)
+		}
+		for r := 0; r < p; r++ {
+			if math.Float64bits(first.wall[r]) != math.Float64bits(second.wall[r]) {
+				t.Errorf("%s: rank %d wall clock changed on replay: %v then %v",
+					label, r, first.wall[r], second.wall[r])
 			}
-			const steps = 2
-			serial := runWorkloadDiff(t, name, p, steps, simnet.SchedSerial, planS)
-			par := runWorkloadDiff(t, name, p, steps, simnet.SchedParallel, planP)
-			if serial.errStr != par.errStr {
-				t.Fatalf("%s: error diverged:\nserial:   %s\nparallel: %s", label, serial.errStr, par.errStr)
+			if math.Float64bits(first.cpu[r]) != math.Float64bits(second.cpu[r]) {
+				t.Errorf("%s: rank %d cpu clock changed on replay: %v then %v",
+					label, r, first.cpu[r], second.cpu[r])
 			}
-			for r := 0; r < p; r++ {
-				if math.Float64bits(serial.wall[r]) != math.Float64bits(par.wall[r]) {
-					t.Errorf("%s: rank %d wall clock diverged: serial %v parallel %v",
-						label, r, serial.wall[r], par.wall[r])
-				}
-				if math.Float64bits(serial.cpu[r]) != math.Float64bits(par.cpu[r]) {
-					t.Errorf("%s: rank %d cpu clock diverged: serial %v parallel %v",
-						label, r, serial.cpu[r], par.cpu[r])
-				}
-				if serial.hashes[r] != par.hashes[r] {
-					t.Errorf("%s: rank %d trajectory hash diverged:\nserial:   %s\nparallel: %s",
-						label, r, serial.hashes[r], par.hashes[r])
-				}
+			if first.hashes[r] != second.hashes[r] {
+				t.Errorf("%s: rank %d trajectory hash changed on replay:\nfirst:  %s\nsecond: %s",
+					label, r, first.hashes[r], second.hashes[r])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"nektar/internal/machine"
@@ -18,7 +19,7 @@ import (
 // calibrated interconnect model at processor counts up to 1024. The
 // skeleton is pure simnet: no solver state, so the virtual-time tables
 // measure the network model, and the host cost stays low enough for
-// P=1024 sweeps under the relaxed scheduler.
+// P=1024 sweeps.
 //
 // Weak scaling holds the per-rank work and halo fixed (the paper's
 // two-planes-per-processor Nektar-F setup); strong scaling divides a
@@ -54,23 +55,17 @@ type ScalebenchConfig struct {
 	// ComputeS is the per-rank compute time per step at the baseline
 	// rank count, in virtual seconds (weak: constant; strong: 1/P).
 	ComputeS float64
-
-	// Scheduler runs the sweep's simulations; the capacity sweep uses
-	// SchedRelaxed (a P=1024 conservative run admits every event through
-	// one election and is prohibitively slow on a small host).
-	Scheduler simnet.Scheduler
 }
 
 // PaperScalebench is the committed capacity sweep: the PMS Fast
 // Ethernet and the Tanaka kernel-bypass GbE models from P=64 to
-// P=1024, relaxed scheduler.
+// P=1024.
 var PaperScalebench = ScalebenchConfig{
 	Machines:  []string{"PMS", "Tanaka"},
 	Procs:     []int{64, 256, 1024},
 	Steps:     2,
 	HaloElems: 4096, // 32 KB: rendezvous on both fabrics
 	ComputeS:  2e-4,
-	Scheduler: simnet.SchedRelaxed,
 	Workloads: []string{"skeleton", "turb2d", "turbforce"},
 	// 1024 live solver ranks is a host-memory wall (ROADMAP); the real
 	// solvers sweep to 256 and the skeleton carries the 1024 column.
@@ -84,7 +79,6 @@ var QuickScalebench = ScalebenchConfig{
 	Steps:     2,
 	HaloElems: 512,
 	ComputeS:  1e-4,
-	Scheduler: simnet.SchedRelaxed,
 }
 
 // ScaleCellResult is one machine x workload x P x mode measurement.
@@ -102,11 +96,14 @@ type ScaleCellResult struct {
 	Efficiency float64
 }
 
-// ScalebenchResult is the recorded sweep.
+// ScalebenchResult is the recorded sweep and the schema of
+// BENCH_simnet.json. GoMaxProcs and NumCPU stamp the host the HostS
+// column ran on.
 type ScalebenchResult struct {
-	Steps     int
-	Scheduler string
-	Cells     []ScaleCellResult
+	GoMaxProcs int
+	NumCPU     int
+	Steps      int
+	Cells      []ScaleCellResult
 }
 
 // scaleBody returns the communication skeleton for one cell.
@@ -187,10 +184,8 @@ func runScaleCell(cfg *ScalebenchConfig, mach *machine.Machine, workload string,
 		gridN = solverGridN(cfg.SolverProcs, p, weak)
 		body = solverBody(workload, gridN, cfg.Steps, &mach.CPU)
 	}
-	model := *mach.Net
-	model.Scheduler = cfg.Scheduler
 	t0 := time.Now()
-	wall, _, err := simnet.Run(p, &model, body)
+	wall, _, err := simnet.Run(p, mach.Net, body)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -211,8 +206,9 @@ func RunScalebench(cfg ScalebenchConfig) (*ScalebenchResult, *report.Table, erro
 		workloads = []string{"skeleton"}
 	}
 	res := &ScalebenchResult{
-		Steps:     cfg.Steps,
-		Scheduler: cfg.Scheduler.String(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Steps:      cfg.Steps,
 	}
 	for _, name := range cfg.Machines {
 		mach, err := machine.ByName(name)
@@ -250,8 +246,7 @@ func RunScalebench(cfg ScalebenchConfig) (*ScalebenchResult, *report.Table, erro
 		}
 	}
 	tbl := report.NewTable(
-		fmt.Sprintf("Scalebench: capacity sweep, virtual s/step (%s scheduler, %d steps)",
-			res.Scheduler, res.Steps),
+		fmt.Sprintf("Scalebench: capacity sweep, virtual s/step (%d steps)", res.Steps),
 		"machine", "workload", "mode", "P", "grid N", "virtual s/step", "efficiency", "host s")
 	for _, c := range res.Cells {
 		grid := "-"

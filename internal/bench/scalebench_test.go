@@ -2,15 +2,29 @@ package bench
 
 import (
 	"fmt"
+	"os"
 	"testing"
-
-	"nektar/internal/simnet"
 )
 
+// TestWriteSimnetBaseline regenerates BENCH_simnet.json (the committed
+// P=64..1024 capacity sweep) when BENCH_SIMNET=1 is set; `make
+// bench-simnet` runs it.
+func TestWriteSimnetBaseline(t *testing.T) {
+	if os.Getenv("BENCH_SIMNET") == "" {
+		t.Skip("set BENCH_SIMNET=1 to regenerate BENCH_simnet.json")
+	}
+	res, _, err := RunScalebench(PaperScalebench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBaseline("../../BENCH_simnet.json", res); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestScalebenchQuick runs the test-sized weak/strong sweep on both
-// capacity-sweep interconnect models under the relaxed scheduler.
+// capacity-sweep interconnect models.
 func TestScalebenchQuick(t *testing.T) {
-	t.Setenv(simnet.SchedulerEnv, "")
 	res, tbl, err := RunScalebench(QuickScalebench)
 	if err != nil {
 		t.Fatal(err)
@@ -54,14 +68,12 @@ func TestScalebenchQuick(t *testing.T) {
 // workloads — weak cells at N = 2P, strong cells at N = 2*maxP — and
 // the skeleton keeps its own rank list.
 func TestScalebenchSolverWorkloads(t *testing.T) {
-	t.Setenv(simnet.SchedulerEnv, "")
 	cfg := ScalebenchConfig{
 		Machines:    []string{"PMS"},
 		Procs:       []int{4, 8},
 		Steps:       2,
 		HaloElems:   512,
 		ComputeS:    1e-4,
-		Scheduler:   simnet.SchedRelaxed,
 		Workloads:   []string{"skeleton", "turb2d", "turbforce"},
 		SolverProcs: []int{4, 8},
 	}

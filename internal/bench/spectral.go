@@ -16,15 +16,12 @@ import (
 )
 
 // Spectral bench: the slab-decomposed pseudospectral solvers against
-// their serial selves. Each cell runs one variant three ways — a plain
-// one-rank host run (no simnet), the P-rank slab run under the serial
-// scheduler, and the same slab run under the host-parallel scheduler —
-// and requires the three trajectories to be bit-identical before any
-// number is recorded: the serial host run is the physics reference,
-// and the two scheduler runs are the clock contract. BENCH_spectral.json
-// carries GOMAXPROCS and the host core count next to the speedups for
-// the same reason BENCH_simnet.json does: a 1-core box's ~1x is a core
-// budget, not a regression.
+// their serial selves. Each cell runs one variant two ways — a plain
+// one-rank host run (no simnet) and the P-rank slab run on the
+// simulated cluster — and requires the two trajectories to be
+// bit-identical, slab for slab, before any number is recorded: the
+// one-rank run is the physics reference. BENCH_spectral.json stamps
+// GOMAXPROCS and the host core count next to the host seconds.
 
 // SpectralBenchConfig parametrizes the sweep.
 type SpectralBenchConfig struct {
@@ -45,13 +42,11 @@ type SpectralCellResult struct {
 	Workload string
 	Procs    int
 
-	SerialHostS       float64 // one-rank reference run, real host seconds
-	SlabSerialHostS   float64 // P-rank slab run, serial scheduler
-	SlabParallelHostS float64 // P-rank slab run, parallel scheduler
-	Speedup           float64 // SlabSerialHostS / SlabParallelHostS
+	SerialHostS float64 // one-rank reference run, real host seconds
+	SlabHostS   float64 // P-rank slab run on the simulated cluster
 
 	// VirtualWallS is the max per-rank virtual wall clock of the slab
-	// run — identical between the two schedulers by construction.
+	// run.
 	VirtualWallS float64
 
 	// TransformFlopsPerStep is the modeled transform work of one step
@@ -243,16 +238,14 @@ func putBits(dst []byte, f float64) {
 	}
 }
 
-// runSpectralSlab runs one variant at p ranks under one scheduler and
-// returns per-rank slab hashes, the max virtual wall, and host seconds.
+// runSpectralSlab runs one variant at p ranks and returns per-rank slab
+// hashes, the max virtual wall, and host seconds.
 func runSpectralSlab(cfg spectral.Config, mk func(spectral.Config, *mpi.Comm, *machine.CPU) (*spectral.Turb2D, error),
-	p, steps int, sched simnet.Scheduler) ([]string, float64, float64, error) {
+	p, steps int) ([]string, float64, float64, error) {
 	mach := machine.Muses()
-	model := *mach.Net
-	model.Scheduler = sched
 	hashes := make([]string, p)
 	t0 := time.Now()
-	wall, _, err := simnet.Run(p, &model, func(n *simnet.Node) {
+	wall, _, err := simnet.Run(p, mach.Net, func(n *simnet.Node) {
 		s, err := mk(cfg, mpi.World(n), &mach.CPU)
 		if err != nil {
 			panic(err)
@@ -307,36 +300,22 @@ func RunSpectralBench(cfg SpectralBenchConfig) (*SpectralBenchResult, *report.Ta
 			for r := 0; r < p; r++ {
 				want[r] = hashField(field[r*nloc*cfg.N : (r+1)*nloc*cfg.N])
 			}
-			hs, wallS, slabSerialS, err := runSpectralSlab(scfg, v.mk, p, cfg.Steps, simnet.SchedSerial)
+			hs, wallS, slabS, err := runSpectralSlab(scfg, v.mk, p, cfg.Steps)
 			if err != nil {
-				return nil, nil, fmt.Errorf("bench: spectral %s P=%d serial: %w", v.name, p, err)
-			}
-			hp, wallP, slabParS, err := runSpectralSlab(scfg, v.mk, p, cfg.Steps, simnet.SchedParallel)
-			if err != nil {
-				return nil, nil, fmt.Errorf("bench: spectral %s P=%d parallel: %w", v.name, p, err)
+				return nil, nil, fmt.Errorf("bench: spectral %s P=%d: %w", v.name, p, err)
 			}
 			for r := 0; r < p; r++ {
 				if hs[r] != want[r] {
 					return nil, nil, fmt.Errorf(
 						"bench: spectral %s P=%d: slab trajectory diverged from the serial reference at rank %d", v.name, p, r)
 				}
-				if hs[r] != hp[r] {
-					return nil, nil, fmt.Errorf(
-						"bench: spectral %s P=%d: trajectories diverged between schedulers at rank %d", v.name, p, r)
-				}
-			}
-			if math.Float64bits(wallS) != math.Float64bits(wallP) {
-				return nil, nil, fmt.Errorf(
-					"bench: spectral %s P=%d: virtual wall diverged between schedulers (%v vs %v)", v.name, p, wallS, wallP)
 			}
 			flops, bytes := stepCosts(v.name, cfg.N)
 			res.Cells = append(res.Cells, SpectralCellResult{
 				Workload:              v.name,
 				Procs:                 p,
 				SerialHostS:           serialS,
-				SlabSerialHostS:       slabSerialS,
-				SlabParallelHostS:     slabParS,
-				Speedup:               slabSerialS / slabParS,
+				SlabHostS:             slabS,
 				VirtualWallS:          wallS,
 				TransformFlopsPerStep: flops,
 				TransposeBytesPerStep: bytes,
@@ -355,28 +334,13 @@ func RunSpectralBench(cfg SpectralBenchConfig) (*SpectralBenchResult, *report.Ta
 	tbl := report.NewTable(
 		fmt.Sprintf("Spectral bench: serial vs slab-parallel pseudospectral solvers, bit-identity enforced (GOMAXPROCS=%d, host cores=%d, N=%d, M=%d, %d steps)",
 			res.GoMaxProcs, res.NumCPU, res.N, res.PadM, res.Steps),
-		"workload", "P", "1-rank host s", "slab serial s", "slab parallel s", "speedup", "virtual wall s", "Mflop/step", "xpose B/step")
+		"workload", "P", "1-rank host s", "slab host s", "virtual wall s", "Mflop/step", "xpose B/step")
 	for _, c := range res.Cells {
 		tbl.AddRow(c.Workload, fmt.Sprintf("%d", c.Procs),
-			fmt.Sprintf("%.3f", c.SerialHostS), fmt.Sprintf("%.3f", c.SlabSerialHostS),
-			fmt.Sprintf("%.3f", c.SlabParallelHostS), fmt.Sprintf("%.2fx", c.Speedup),
+			fmt.Sprintf("%.3f", c.SerialHostS), fmt.Sprintf("%.3f", c.SlabHostS),
 			fmt.Sprintf("%.4f", c.VirtualWallS),
 			fmt.Sprintf("%.3f", float64(c.TransformFlopsPerStep)/1e6),
 			fmt.Sprintf("%d", c.TransposeBytesPerStep))
 	}
 	return res, tbl, nil
-}
-
-// WriteSpectralBaseline records res as the committed BENCH_spectral.json
-// baseline, under the same 1-core honesty rule as WriteSimnetBaseline:
-// a single-core host cannot measure the parallel scheduler, so the
-// write is refused without force, and a forced write still stamps
-// GoMaxProcs/NumCPU so readers can discount it.
-func WriteSpectralBaseline(path string, res *SpectralBenchResult, force bool) error {
-	if runtime.NumCPU() == 1 && !force {
-		return fmt.Errorf(
-			"bench: refusing to overwrite %s from a 1-core host: the serial-vs-parallel speedups would be core-starved noise, not a baseline; re-run on a multi-core host, or pass -force to record anyway (the file stamps NumCPU=1 so readers can discount it)",
-			path)
-	}
-	return writeBaselineJSON(path, res)
 }

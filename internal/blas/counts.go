@@ -115,102 +115,31 @@ func (c *Counts) TotalBytes() int64 {
 	return t
 }
 
-// recording state. The default is a single global recorder: one atomic
-// load on the hot path when nothing records. Goroutines that need an
-// independent recording session while others run BLAS concurrently
-// (the simulated MPI ranks under simnet's parallel scheduler) bind a
-// per-thread recorder instead: BindThreadRecorder registers a slot
-// keyed by the OS thread id, and Start/Stop/Snapshot/record transparently
-// dispatch to the calling thread's slot when one exists. A bound
-// goroutine must be locked to its OS thread (runtime.LockOSThread) for
-// the lifetime of the binding, which also guarantees no other goroutine
-// ever runs on — or records against — that thread.
+// recording state: a single process-global recorder. The disabled path
+// is one atomic load; an active session is guarded by recMu. Simulated
+// MPI ranks never overlap on host threads (simnet runs one rank at a
+// time), so a rank's StartRecording/StopRecording bracket sees only its
+// own BLAS calls.
 var (
 	recMu     sync.Mutex
-	recCounts *Counts // global session, guarded by recMu
+	recCounts *Counts // guarded by recMu
 
-	// recActive counts active sessions, global plus per-thread, so the
-	// disabled-path check stays one atomic load.
+	// recActive is 1 while a session is open, so the disabled-path
+	// check stays one atomic load.
 	recActive atomic.Int32
-	// threadSlots maps OS thread id -> *threadRec; threadBound counts
-	// entries so unbound processes skip the thread-id syscall entirely.
-	threadSlots sync.Map
-	threadBound atomic.Int32
 )
 
-// threadRec is one bound thread's recording slot. Only the owning
-// (thread-locked) goroutine touches cur, so no lock is needed.
-type threadRec struct {
-	cur *Counts // nil between Start/Stop
-}
-
-// currentSlot returns the calling thread's recording slot, or nil.
-func currentSlot() *threadRec {
-	tid, ok := threadID()
-	if !ok {
-		return nil
-	}
-	v, ok := threadSlots.Load(tid)
-	if !ok {
-		return nil
-	}
-	return v.(*threadRec)
-}
-
-// ThreadRecordingSupported reports whether this platform can key
-// recording sessions by OS thread (simnet's parallel scheduler requires
-// it; without it ranks would corrupt each other's operation counts).
-func ThreadRecordingSupported() bool {
-	_, ok := threadID()
-	return ok
-}
-
-// BindThreadRecorder gives the calling goroutine — which must already
-// be locked to its OS thread — a private recording slot. Subsequent
-// StartRecording/StopRecording/Snapshot calls from this goroutine
-// operate on the slot and never touch the process-global session.
-// Returns false (and binds nothing) when the platform cannot identify
-// OS threads.
-func BindThreadRecorder() bool {
-	tid, ok := threadID()
-	if !ok {
-		return false
-	}
-	threadSlots.Store(tid, &threadRec{})
-	threadBound.Add(1)
-	return true
-}
-
-// UnbindThreadRecorder releases the calling thread's recording slot
-// (ending any session still open on it).
-func UnbindThreadRecorder() {
-	tid, ok := threadID()
-	if !ok {
-		return
-	}
-	if v, loaded := threadSlots.LoadAndDelete(tid); loaded {
-		if v.(*threadRec).cur != nil {
-			recActive.Add(-1)
-		}
-		threadBound.Add(-1)
-	}
-}
+// ThreadRecordingSupported reports whether recording sessions can be
+// keyed per OS thread. They cannot: there is one global recorder, and
+// simnet's single scheduler runs one rank at a time, so nothing needs
+// per-thread sessions. Always false; kept so callers that stamp the
+// scheduler in use (they print sched=serial) keep building.
+func ThreadRecordingSupported() bool { return false }
 
 // StartRecording directs all subsequent BLAS calls to accumulate into
-// c until StopRecording is called. On a thread bound via
-// BindThreadRecorder the session is thread-local; otherwise it is
-// process-global and must not be enabled concurrently from multiple
-// goroutines.
+// c until StopRecording is called. The session is process-global and
+// must not be enabled concurrently from multiple goroutines.
 func StartRecording(c *Counts) {
-	if threadBound.Load() > 0 {
-		if s := currentSlot(); s != nil {
-			if s.cur == nil {
-				recActive.Add(1)
-			}
-			s.cur = c
-			return
-		}
-	}
 	recMu.Lock()
 	if recCounts == nil {
 		recActive.Add(1)
@@ -219,18 +148,8 @@ func StartRecording(c *Counts) {
 	recMu.Unlock()
 }
 
-// StopRecording stops accumulation for the calling thread's session
-// (thread-local if bound, global otherwise).
+// StopRecording ends the recording session.
 func StopRecording() {
-	if threadBound.Load() > 0 {
-		if s := currentSlot(); s != nil {
-			if s.cur != nil {
-				recActive.Add(-1)
-			}
-			s.cur = nil
-			return
-		}
-	}
 	recMu.Lock()
 	if recCounts != nil {
 		recActive.Add(-1)
@@ -242,14 +161,6 @@ func StopRecording() {
 // Snapshot returns a copy of the currently accumulating counts, or a
 // zero Counts if recording is disabled.
 func Snapshot() Counts {
-	if threadBound.Load() > 0 {
-		if s := currentSlot(); s != nil {
-			if s.cur == nil {
-				return Counts{}
-			}
-			return *s.cur
-		}
-	}
 	recMu.Lock()
 	defer recMu.Unlock()
 	if recCounts == nil {
@@ -265,14 +176,6 @@ func RecordExternal(c *Counts) {
 	if recActive.Load() == 0 {
 		return
 	}
-	if threadBound.Load() > 0 {
-		if s := currentSlot(); s != nil {
-			if s.cur != nil {
-				s.cur.Add(c)
-			}
-			return
-		}
-	}
 	recMu.Lock()
 	if recCounts != nil {
 		recCounts.Add(c)
@@ -283,20 +186,6 @@ func RecordExternal(c *Counts) {
 func record(k Kernel, n, flops, bytes int) {
 	if recActive.Load() == 0 {
 		return
-	}
-	if threadBound.Load() > 0 {
-		if s := currentSlot(); s != nil {
-			// A bound thread outside a session records nowhere: the
-			// global session (if any) belongs to other goroutines.
-			if c := s.cur; c != nil {
-				op := &c.Ops[k]
-				op.Calls++
-				op.N += int64(n)
-				op.Flops += int64(flops)
-				op.Bytes += int64(bytes)
-			}
-			return
-		}
 	}
 	recMu.Lock()
 	if recCounts != nil {

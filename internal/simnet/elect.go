@@ -1,28 +1,25 @@
 package simnet
 
-// Indexed election for the host-parallel schedulers.
+// Indexed election.
 //
-// The conservative scheduler admits shared-state events in global
-// (virtual time, rank) order; the relaxed scheduler needs the global
-// virtual-time floor to place its admission window. Both used to find
-// the minimum with a linear scan over every rank per election — O(P)
-// per event, which dominates once P reaches the hundreds. The scan is
-// replaced by a lazy min-heap of election entries:
+// The scheduler always runs the electable rank with the smallest
+// (virtual time, rank) key: a runnable rank at its clock, or a rank
+// blocked in RecvDeadline at its deadline. Finding that minimum with a
+// linear scan over every rank costs O(P) per event, which dominates
+// once P reaches the hundreds. Instead the election reads a lazy
+// min-heap of election entries:
 //
-//   - Every transition that makes a rank electable (or moves its key
-//     while electable) pushes a fresh entry. Old entries are not
-//     removed in place.
+//   - Every transition that makes a rank electable (a yield, a wake, a
+//     deadline park, the launch) pushes a fresh entry. Old entries are
+//     not removed in place.
 //   - The heap top is validated against the rank's *current* state
-//     before use; a stale entry (the rank moved on, was admitted, or
-//     blocked) is popped and discarded.
+//     before use; a stale entry (the rank moved on, ran, or blocked) is
+//     popped and discarded.
 //
-// Laziness is sound because election keys never decrease: a rank's key
-// is its virtual clock (or an absolute receive deadline), and virtual
-// clocks are monotone. A stale entry therefore always sorts at or
-// before the rank's live entry, so discarding stale tops can never
-// skip past a smaller live candidate. Each event pushes O(1) entries
-// and each election pops the entries it invalidated, so the heap stays
-// O(live candidates) and admission costs O(log P).
+// Every electable rank always has an entry matching its current state,
+// so the smallest valid entry is the true minimum. Each event pushes
+// O(1) entries and each election pops the entries it invalidated, so
+// the heap stays O(live candidates) and an election costs O(log P).
 
 type electEntry struct {
 	key     float64
@@ -82,70 +79,64 @@ func (pq *electPQ) pop() electEntry {
 	return top
 }
 
-// electKeyOf returns rank n's current election candidacy: its frozen
-// key for in-flight/arrived/woken/doomed ranks, its deadline for a
-// rank blocked in RecvDeadline, or ok=false when the rank is not
-// electable at all. This is exactly the serial scheduler's candidate
-// set. Caller holds par.mu.
+// electKeyOf returns rank n's current election candidacy: its clock
+// while runnable, its deadline while blocked in RecvDeadline, or
+// ok=false when the rank is finished or blocked without a wake-up time.
 func electKeyOf(n *Node) (electEntry, bool) {
-	switch n.status {
-	case stInFlight, stArrived, stDoomed:
-		return electEntry{key: n.key, rank: int32(n.Rank)}, true
-	case stParked:
-		switch n.blockKind {
-		case blockNone:
-			return electEntry{key: n.key, rank: int32(n.Rank)}, true
-		case blockRecvDeadline:
-			return electEntry{key: n.deadline, rank: int32(n.Rank), timeout: true}, true
-		}
+	if n.done {
+		return electEntry{}, false
+	}
+	switch n.blockKind {
+	case blockNone:
+		return electEntry{key: n.clock, rank: int32(n.Rank)}, true
+	case blockRecvDeadline:
+		return electEntry{key: n.deadline, rank: int32(n.Rank), timeout: true}, true
 	}
 	return electEntry{}, false
 }
 
 // pushElect publishes rank n's current candidacy to the election heap;
-// a no-op when the rank is not electable. Call after any transition
-// that creates or re-keys a candidacy (release, wake, stall bump,
-// doom, deadline park, launch). Caller holds par.mu.
+// a no-op when the rank is not electable.
 func (c *cluster) pushElect(n *Node) {
-	e, ok := electKeyOf(n)
-	if !ok {
-		return
-	}
-	c.par.pq.push(e)
-	if c.par.relaxed {
-		// The relaxed scheduler recomputes its window on any new
-		// candidate; the conservative scheduler has its own targeted
-		// broadcasts.
-		c.par.cond.Broadcast()
+	if e, ok := electKeyOf(n); ok {
+		c.pq.push(e)
 	}
 }
 
-// minElect returns the smallest live election entry without removing
-// it, popping and discarding stale tops along the way; ok=false means
-// no rank is electable. Caller holds par.mu.
-func (c *cluster) minElect() (electEntry, bool) {
-	pq := &c.par.pq
-	for len(*pq) > 0 {
-		e := (*pq)[0]
-		cur, ok := electKeyOf(c.nodes[e.rank])
-		if ok && cur == e {
-			return e, true
+// elect removes and returns the electable rank with the smallest
+// (key, rank), discarding stale entries on the way, or nil when no rank
+// is electable. A rank elected at its RecvDeadline deadline is woken
+// with its timeout flag set; it advances its own clock.
+func (c *cluster) elect() *Node {
+	for {
+		for len(c.pq) > 0 {
+			e := c.pq.pop()
+			n := c.nodes[e.rank]
+			if cur, ok := electKeyOf(n); !ok || cur != e {
+				continue
+			}
+			if e.timeout {
+				n.blockKind = blockNone
+				n.timedOut = true
+			}
+			return n
 		}
-		pq.pop()
+		// An empty heap normally means deadlock; rebuild from a full
+		// scan first so a missed push can degrade only performance,
+		// never be misdiagnosed as one.
+		if !c.rebuildElect() {
+			return nil
+		}
 	}
-	return electEntry{}, false
 }
 
 // rebuildElect repopulates the heap from a full state scan and reports
-// whether any candidate exists. It is the O(P) safety net behind the
-// lazy heap: an empty heap normally means deadlock, and rebuilding
-// first guarantees a missed push can degrade only performance, never
-// correctness. Caller holds par.mu.
+// whether any candidate exists.
 func (c *cluster) rebuildElect() bool {
 	any := false
 	for _, n := range c.nodes {
 		if e, ok := electKeyOf(n); ok {
-			c.par.pq.push(e)
+			c.pq.push(e)
 			any = true
 		}
 	}

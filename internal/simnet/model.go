@@ -13,7 +13,10 @@
 // models are calibrated in package machine from the paper's Figure 7.
 package simnet
 
-import "fmt"
+import (
+	"fmt"
+	"os"
+)
 
 // LinkModel is a LogGP-style point-to-point channel model.
 type LinkModel struct {
@@ -71,41 +74,31 @@ type Model struct {
 	// BackplaneMBs caps the aggregate inter-node traffic (an
 	// oversubscribed Ethernet switch); 0 = full crossbar.
 	BackplaneMBs float64
-	// Scheduler selects the simulator's execution strategy. Serial and
-	// the host-parallel conservative scheduler produce bit-identical
-	// virtual-time results; SchedRelaxed trades bit-identity for
-	// concurrency (see RelaxWindowUS). The NEKTAR_SIMNET_SCHED
-	// environment variable overrides it.
+	// Scheduler selects the simulator's execution strategy. There is
+	// one: ranks run one at a time in (virtual time, rank) order.
+	// SchedAuto and SchedSerial both select it; any other value fails
+	// the run. The NEKTAR_SIMNET_SCHED environment variable overrides
+	// it.
 	Scheduler Scheduler
-	// RelaxWindowUS is the relaxed scheduler's admission window in
-	// virtual microseconds: ranks whose next event lies within this
-	// window of the globally earliest pending event run their
-	// shared-state slices concurrently, in whatever order the host
-	// provides. 0 selects the default window; the value is ignored
-	// unless the relaxed scheduler is selected. Must be finite and
-	// >= 0.
-	RelaxWindowUS float64
 }
 
 // Scheduler selects how simnet executes the rank goroutines.
 type Scheduler int
 
 const (
-	// SchedAuto (the default) uses the parallel scheduler whenever the
-	// platform supports it, the run has at least two ranks, and more
-	// than one host core is available (GOMAXPROCS > 1).
+	// SchedAuto (the default) selects the one scheduler.
 	SchedAuto Scheduler = iota
-	// SchedSerial forces the original one-rank-at-a-time scheduler.
+	// SchedSerial names the one scheduler explicitly: one rank at a
+	// time, in (virtual time, rank) order.
 	SchedSerial
-	// SchedParallel forces the host-parallel conservative scheduler.
-	SchedParallel
-	// SchedRelaxed selects the windowed relaxed scheduler: shared-state
-	// events within RelaxWindowUS of the global virtual-time floor are
-	// admitted concurrently. Runs are NOT bit-identical to serial (the
-	// event interleaving inside a window is host-dependent); use it for
-	// capacity sweeps where statistical equivalence suffices.
-	SchedRelaxed
 )
+
+// SchedulerEnv is the environment variable that overrides
+// Model.Scheduler for a whole process: "auto" or "serial". The removed
+// host-parallel modes "parallel" and "relaxed", and any other
+// non-empty value, reject the run, so a stale script cannot silently
+// measure something other than what it asks for.
+const SchedulerEnv = "NEKTAR_SIMNET_SCHED"
 
 // String names the scheduler mode for error messages and reports.
 func (s Scheduler) String() string {
@@ -114,12 +107,27 @@ func (s Scheduler) String() string {
 		return "auto"
 	case SchedSerial:
 		return "serial"
-	case SchedParallel:
-		return "parallel"
-	case SchedRelaxed:
-		return "relaxed"
 	}
 	return fmt.Sprintf("Scheduler(%d)", int(s))
+}
+
+// resolveScheduler validates the scheduler selection up front, before
+// any rank goroutine launches, naming the valid modes on error.
+func resolveScheduler(m *Model) error {
+	switch m.Scheduler {
+	case SchedAuto, SchedSerial:
+	default:
+		return fmt.Errorf("simnet: unknown Model.Scheduler %d (valid: SchedAuto, SchedSerial)", int(m.Scheduler))
+	}
+	switch env := os.Getenv(SchedulerEnv); env {
+	case "", "auto", "serial":
+		return nil
+	case "parallel", "relaxed":
+		return fmt.Errorf("simnet: %s=%q: the %s scheduler was removed; simnet runs one rank at a time (valid: auto, serial)",
+			SchedulerEnv, env, env)
+	default:
+		return fmt.Errorf("simnet: %s=%q is not a scheduler mode (valid: auto, serial)", SchedulerEnv, env)
+	}
 }
 
 // nodeOf returns the SMP node that hosts a rank.

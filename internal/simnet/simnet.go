@@ -3,10 +3,8 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Injector is the fault-injection hook set consulted by the simulator.
@@ -123,13 +121,6 @@ type Node struct {
 	// harness uses it to charge full-size transfer times while moving
 	// validation-scale data.
 	phantom float64
-
-	// Parallel-scheduler state (parsched.go; unused when net.par is
-	// nil): the protocol state and the rank's frozen election key — the
-	// virtual time of its next shared-state event, published at each
-	// release. Guarded by net.par.mu.
-	status rankState
-	key    float64
 }
 
 // SetPhantomFactor sets the message-size multiplier used for timing
@@ -215,7 +206,8 @@ func getMsg(refs int32) *message {
 // struct. The data slice is detached first — it may have escaped to
 // the application through Recv.
 func (m *message) release() {
-	if atomic.AddInt32(&m.refs, -1) == 0 {
+	m.refs--
+	if m.refs == 0 {
 		m.data = nil
 		m.sender = nil
 		m.req.m = nil
@@ -256,28 +248,24 @@ func (q *msgQueue) pop() *message {
 	return m
 }
 
-// cluster is the shared simulator state. Node methods synchronize
-// through the scheduler: under the serial scheduler only one rank
-// goroutine runs at a time; under the parallel scheduler (parsched.go)
-// rank host code runs concurrently but shared-state mutations are
-// admitted one at a time in the same (virtual time, rank) order.
+// cluster is the shared simulator state. Exactly one rank goroutine
+// runs at a time: a rank that yields or finishes elects its successor
+// and hands control over through the successor's resume channel, and
+// those channel operations order every access to this state, so it
+// needs no lock.
 type cluster struct {
 	model *Model
 	nodes []*Node
 
-	mu       sync.Mutex
-	schedCh  chan int // rank yields by sending its id
-	finished int
+	running    int     // rank goroutines not yet finished
+	pq         electPQ // lazy election heap (elect.go)
+	deadlocked bool    // deadlock diagnosed; every live rank is poisoned
 
 	// Shared resources: per-SMP-node NIC free times and the switch
 	// backplane free time.
 	egressFree  []float64
 	ingressFree []float64
 	bpFree      float64
-
-	// par is the parallel scheduler's state; nil under the serial
-	// scheduler, which also turns every lockPar/unlockPar into a no-op.
-	par *parSched
 
 	// Fault injection (nil when the cluster is perfect).
 	inj     Injector
@@ -297,16 +285,12 @@ type cluster struct {
 // failOnce records the first failure; later ones are dropped so the
 // root cause survives the unwinding that follows.
 func (c *cluster) failOnce(err error) {
-	c.mu.Lock()
 	if c.fail == nil {
 		c.fail = err
 	}
-	c.mu.Unlock()
 }
 
-// isCrashed reports whether a rank has died (called from the single
-// running rank goroutine, so no lock is needed beyond the scheduler's
-// serialization).
+// isCrashed reports whether a rank has died.
 func (c *cluster) isCrashed(rank int) bool {
 	return c.crashed != nil && c.crashed[rank]
 }
@@ -356,7 +340,6 @@ func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall,
 	}
 	c := &cluster{
 		model:       model,
-		schedCh:     make(chan int),
 		egressFree:  make([]float64, nNodes),
 		ingressFree: make([]float64, nNodes),
 	}
@@ -387,143 +370,81 @@ func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall,
 			inbox:  map[msgKey]*msgQueue{},
 		}
 	}
-	kind, err := resolveScheduler(model, p)
-	if err != nil {
+	if err := resolveScheduler(model); err != nil {
 		return nil, nil, err
 	}
+	// Seed the election heap before any rank runs: the first election
+	// sees every rank at its start clock (after any stall due at t=0).
+	for _, n := range c.nodes {
+		n.maybeStall()
+		c.pushElect(n)
+	}
+	c.running = p
 	var wg sync.WaitGroup
-	if kind != kindSerial {
-		// Host-parallel schedulers: rank host code overlaps on real
-		// cores. The conservative scheduler admits shared-state events
-		// in serial order (bit-identical); the relaxed one admits
-		// within a bounded virtual-time window (relaxed.go).
-		c.par = &parSched{live: p}
-		c.par.cond = sync.NewCond(&c.par.mu)
-		if kind == kindRelaxed {
-			c.par.relaxed = true
-			w := model.RelaxWindowUS
-			if w == 0 {
-				w = defaultRelaxWindowUS
-			}
-			c.par.window = w * us
-			c.par.winEnd = c.par.window
-		}
-		// Seed the election heap before any rank can run: the first
-		// election must see every rank at key 0.
-		for i := 0; i < p; i++ {
-			c.pushElect(c.nodes[i])
-		}
-		for i := 0; i < p; i++ {
-			wg.Add(1)
-			go c.parRank(c.nodes[i], body, &wg)
-		}
-		if kind == kindRelaxed {
-			c.relaxedRun()
-		} else {
-			c.parRun()
-		}
-		wg.Wait()
-		return c.collect(p)
-	}
-	for i := 0; i < p; i++ {
+	for _, n := range c.nodes {
 		wg.Add(1)
-		n := c.nodes[i]
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					switch r.(type) {
-					case crashSignal, poisonSignal:
-						// Expected unwinding; the cause is recorded
-						// elsewhere (crashed[], or the deadlock error).
-					default:
-						c.failOnce(fmt.Errorf("simnet: rank %d panicked: %v", n.Rank, r))
-					}
-				}
-				c.mu.Lock()
-				n.done = true
-				c.finished++
-				c.mu.Unlock()
-				c.schedCh <- -1
-			}()
-			// Wait for the scheduler to start us.
-			<-n.resume
-			body(n)
-		}()
+		go c.runRank(n, body, &wg)
 	}
+	c.next().resume <- struct{}{}
+	wg.Wait()
+	return c.collect(p)
+}
 
-	// Scheduler loop. One pass per election over the rank states
-	// directly: a rank is a candidate when it is runnable (blockKind ==
-	// blockNone — parked at <-resume, woken, or freshly launched) at
-	// its clock, or blocked in RecvDeadline at its deadline. Scanning
-	// states in place replaces the old runnable-map bookkeeping (and
-	// its per-event map churn) with the identical candidate set: the
-	// elected minimum does not depend on visit order, and maybeStall
-	// only ever moves the visited rank's own clock. The serial
-	// scheduler stays O(P) per event by design — it is the bit-exact
-	// reference the parallel schedulers are differentially tested
-	// against; the O(log P) election lives in parsched.go.
-	schedDone := make(chan struct{})
-	go func() {
-		defer close(schedDone)
-		running := p // rank goroutines not yet done
-		for running > 0 {
-			pick := -1
-			pickTimeout := false
-			var pickClock float64
-			for _, n := range c.nodes {
-				if n.done {
-					continue
-				}
-				switch n.blockKind {
-				case blockNone:
-					// Apply a pending rank-stall fault before electing a
-					// candidate: the freeze must reorder this rank against
-					// other ranks' deadlines, not fire after the rank has
-					// already been resumed at its pre-stall clock.
-					n.maybeStall()
-					if pick < 0 || n.clock < pickClock || (n.clock == pickClock && n.Rank < pick) {
-						pick, pickClock, pickTimeout = n.Rank, n.clock, false
-					}
-				case blockRecvDeadline:
-					if pick < 0 || n.deadline < pickClock || (n.deadline == pickClock && n.Rank < pick) {
-						pick, pickClock, pickTimeout = n.Rank, n.deadline, true
-					}
-				}
+// runRank is one rank's goroutine: it waits to be elected, runs body,
+// and on the way out (normal return, crash or poison) hands control to
+// the next elected rank.
+func (c *cluster) runRank(n *Node, body func(*Node), wg *sync.WaitGroup) {
+	defer wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			switch r.(type) {
+			case crashSignal, poisonSignal:
+				// Expected unwinding; the cause is recorded elsewhere
+				// (crashed[], or the deadlock error).
+			default:
+				c.failOnce(fmt.Errorf("simnet: rank %d panicked: %v", n.Rank, r))
 			}
-			if pick < 0 {
-				// Deadlock: every live rank is blocked with no wake-up
-				// time. Diagnose, then poison them so their goroutines
-				// unwind through the recover handler.
-				c.failOnce(c.deadlockError(running))
-				for _, n := range c.nodes {
-					if !n.done {
-						n.poison = true
-						n.resume <- struct{}{}
-						<-c.schedCh // the -1 from its recover path
-						running--
-					}
-				}
-				continue
-			}
-			if pickTimeout {
-				// A RecvDeadline wait expired: wake the rank with its
-				// timeout flag set; it advances its own clock.
-				n := c.nodes[pick]
-				n.blockKind = blockNone
-				n.timedOut = true
-			}
-			c.nodes[pick].resume <- struct{}{}
-			// Wait for that rank to yield back (or finish).
-			if id := <-c.schedCh; id == -1 {
-				running--
-			}
+		}
+		n.done = true
+		c.running--
+		if next := c.next(); next != nil {
+			next.resume <- struct{}{}
 		}
 	}()
+	<-n.resume
+	if n.poison {
+		panic(poisonSignal{})
+	}
+	body(n)
+}
 
-	wg.Wait()
-	<-schedDone
-	return c.collect(p)
+// next elects the rank to run now that the calling rank has parked or
+// finished: the electable rank with the smallest (virtual time, rank)
+// key, which may be the caller itself. It returns nil once every rank
+// has finished. If live ranks remain but none is electable the run has
+// deadlocked: the blocked ranks are diagnosed once, all are poisoned,
+// and next returns them one at a time so each unwinds through its
+// recover handler.
+func (c *cluster) next() *Node {
+	if c.running == 0 {
+		return nil
+	}
+	if n := c.elect(); n != nil {
+		return n
+	}
+	if !c.deadlocked {
+		c.deadlocked = true
+		c.failOnce(c.deadlockError(c.running))
+		for _, n := range c.nodes {
+			n.poison = true
+		}
+	}
+	for _, n := range c.nodes {
+		if !n.done {
+			return n
+		}
+	}
+	return nil
 }
 
 // collect gathers the per-rank virtual clocks and the run's error after
@@ -598,45 +519,39 @@ func (c *cluster) deadlockError(running int) error {
 		running, crashNote, strings.Join(parts, "; "))
 }
 
-// yield hands control back to the scheduler and waits to be resumed.
+// yield ends the rank's current slice — host work followed by one Node
+// call's shared-state mutations. A runnable rank publishes its clock as
+// its election key (a blocked one publishes its receive deadline, if
+// any); then the next election runs. When the caller is still the
+// global minimum it simply carries on (a batched admission, no
+// goroutine switch); otherwise it resumes the elected rank and parks
+// until it is elected itself.
 func (n *Node) yield() {
-	if par := n.net.par; par != nil {
-		if par.relaxed {
-			n.net.relaxedYield(n)
-		} else {
-			n.net.parYield(n)
-		}
-		return
+	c := n.net
+	if n.blockKind == blockNone {
+		n.maybeStall()
 	}
-	n.net.schedCh <- n.Rank
-	<-n.resume
+	c.pushElect(n)
+	if next := c.next(); next != n {
+		next.resume <- struct{}{}
+		<-n.resume
+	}
 	if n.poison {
 		panic(poisonSignal{})
 	}
 	n.maybeCrash()
 }
 
-// sliceLock/sliceUnlock bracket a relaxed-mode shared-state slice that
-// does not start with begin() — Compute and Sleep mutate the rank's
-// clock, which other ranks read under the slice lock. No-ops under the
-// serial and conservative schedulers (exclusive admission covers
-// them). sliceLock's lock is consumed by the yield() ending the slice.
-func (c *cluster) sliceLock() {
-	if c.par != nil && c.par.relaxed {
-		c.par.big.Lock()
-	}
-}
-
 // maybeStall applies a pending rank-stall fault: the first time the
 // rank's clock passes the scheduled freeze instant, its wall clock
 // jumps forward by the freeze duration (no CPU is consumed, nothing is
-// sent) and the rank carries on. The scheduler calls this while the
-// rank is parked, before electing the next candidate, so the freeze
+// sent) and the rank carries on. It runs whenever a rank becomes
+// runnable while parked — at its own yield, and when another rank's
+// event wakes it — before its election key is published, so the freeze
 // correctly reorders the rank against other ranks' receive deadlines.
 // A stall scheduled before a crash on the same rank can push the clock
 // past the crash time, in which case the crash wins — checked by
-// maybeCrash at the rank's next resume. Serial scheduler only; the
-// parallel scheduler uses applyStallLocked at the equivalent instants.
+// maybeCrash at the rank's next resume.
 func (n *Node) maybeStall() {
 	c := n.net
 	if c.stallAt == nil || c.stallFired[n.Rank] {
@@ -668,7 +583,6 @@ func (n *Node) maybeCrash() {
 	if n.cpu > t {
 		n.cpu = t
 	}
-	c.lockPar()
 	c.crashed[n.Rank] = true
 	for _, peer := range c.nodes {
 		if peer == n || peer.done {
@@ -676,16 +590,9 @@ func (n *Node) maybeCrash() {
 		}
 		if (peer.blockKind == blockRecv || peer.blockKind == blockRecvDeadline) &&
 			peer.waitKey != nil && peer.waitKey.src == n.Rank {
-			peer.blockKind = blockNone
-			if c.par != nil {
-				c.applyStallLocked(peer)
-				c.pushElect(peer)
-			}
-			// Serial: the election scan sees the cleared blockKind
-			// directly; nothing else to record.
+			c.wake(peer)
 		}
 	}
-	c.unlockPar()
 	panic(crashSignal{})
 }
 
@@ -705,7 +612,6 @@ func (n *Node) Compute(dt float64) {
 		n.net.failOnce(fmt.Errorf("simnet: rank %d: negative compute time %g", n.Rank, dt))
 		panic(poisonSignal{})
 	}
-	n.net.sliceLock()
 	n.clock += dt
 	n.cpu += dt
 	n.yield()
@@ -719,7 +625,6 @@ func (n *Node) Sleep(dt float64) {
 		n.net.failOnce(fmt.Errorf("simnet: rank %d: negative sleep time %g", n.Rank, dt))
 		panic(poisonSignal{})
 	}
-	n.net.sliceLock()
 	n.clock += dt
 	n.yield()
 }
@@ -769,7 +674,6 @@ func (n *Node) SendControl(dst, tag int, data []float64) {
 }
 
 func (n *Node) isend(dst, tag int, data []float64, forceEager, droppable bool) (*Request, bool) {
-	n.begin()
 	if dst == n.Rank {
 		// Self-send: buffer locally with no network cost.
 		cp := append([]float64(nil), data...)
@@ -836,25 +740,19 @@ func (n *Node) isend(dst, tag int, data []float64, forceEager, droppable bool) (
 		return &m.req, !dropped
 	}
 	// Rendezvous: if the receiver is already waiting, transfer now;
-	// otherwise park until it posts the matching receive. The receiver's
-	// block state is read under the parallel scheduler's lock: a
-	// non-admitted peer can be writing its own block state concurrently
-	// only inside Wait, which takes the same lock.
-	c.lockPar()
+	// otherwise park until it posts the matching receive.
 	if (dstNode.blockKind == blockRecv || dstNode.blockKind == blockRecvDeadline) &&
 		dstNode.waitKey != nil && matches(*dstNode.waitKey, m.key) {
 		start := max(n.clock, dstNode.clock) + n.linkLatency(link, dst, max(n.clock, dstNode.clock)) // handshake
 		m.arrive = n.reserveTransfer(dst, size, start, link)
 		m.ready = m.arrive - link.LatencyUS*us // payload has left the NIC
 		m.xferDone = true
-		n.deliverLocked(dstNode, m)
-		c.unlockPar()
+		n.deliver(dstNode, m)
 		n.yield()
 		return &m.req, true
 	}
 	m.arrive = -1
-	n.deliverLocked(dstNode, m)
-	c.unlockPar()
+	n.deliver(dstNode, m)
 	n.yield()
 	return &m.req, true
 }
@@ -877,14 +775,6 @@ func (n *Node) linkLatency(link *LinkModel, dst int, t float64) float64 {
 // Waiting releases the request: a Request must not be waited on twice.
 func (n *Node) Wait(r *Request) {
 	if r.m == nil {
-		return
-	}
-	if par := n.net.par; par != nil {
-		if par.relaxed {
-			n.relaxedWait(r)
-		} else {
-			n.parWait(r)
-		}
 		return
 	}
 	for !r.m.xferDone {
@@ -974,9 +864,20 @@ func (n *Node) reserveTransfer(dst, size int, start float64, link *LinkModel) fl
 // deliver places a message in the destination inbox and unblocks the
 // destination if it is waiting for it.
 func (n *Node) deliver(dst *Node, m *message) {
-	n.net.lockPar()
-	n.deliverLocked(dst, m)
-	n.net.unlockPar()
+	dst.queueFor(m.key).push(m)
+	if (dst.blockKind == blockRecv || dst.blockKind == blockRecvDeadline) &&
+		dst.waitKey != nil && matches(*dst.waitKey, m.key) {
+		dst.waitKey = nil
+		n.net.wake(dst)
+	}
+}
+
+// wake makes a blocked, parked rank runnable again: it applies any
+// rank-stall fault now due and publishes the rank's election key.
+func (c *cluster) wake(n *Node) {
+	n.blockKind = blockNone
+	n.maybeStall()
+	c.pushElect(n)
 }
 
 // queueFor returns (creating if needed) the inbox FIFO for a key.
@@ -989,26 +890,6 @@ func (n *Node) queueFor(k msgKey) *msgQueue {
 	return q
 }
 
-// deliverLocked is deliver with the parallel scheduler's lock already
-// held (no-op lock under the serial scheduler).
-func (n *Node) deliverLocked(dst *Node, m *message) {
-	c := n.net
-	dst.queueFor(m.key).push(m)
-	if (dst.blockKind == blockRecv || dst.blockKind == blockRecvDeadline) &&
-		dst.waitKey != nil && matches(*dst.waitKey, m.key) {
-		dst.blockKind = blockNone
-		dst.waitKey = nil
-		if c.par != nil {
-			// Woken: electable again at its parked key. The serial
-			// scheduler's election scan would apply a due stall before
-			// the rank could be picked; do it at the wake instant.
-			c.applyStallLocked(dst)
-			c.pushElect(dst)
-		}
-		// Serial: the election scan sees the cleared blockKind directly.
-	}
-}
-
 // AnySource and AnyTag are wildcards for Recv.
 const (
 	AnySource = -1
@@ -1019,7 +900,6 @@ const (
 // returns its payload. The rank's clock advances to the later of its
 // own time and the message's arrival time.
 func (n *Node) Recv(src, tag int) []float64 {
-	n.begin()
 	key := msgKey{src, tag}
 	for {
 		if m := n.takeMatch(key); m != nil {
@@ -1037,18 +917,12 @@ func (n *Node) Recv(src, tag int) []float64 {
 // src == AnySource the crash check is skipped (any live rank could
 // still satisfy the receive) and the call behaves like Recv.
 func (n *Node) RecvErr(src, tag int) ([]float64, error) {
-	n.begin()
 	key := msgKey{src, tag}
 	for {
 		if m := n.takeMatch(key); m != nil {
 			return n.consume(m), nil
 		}
 		if src != AnySource && n.net.isCrashed(src) {
-			if n.net.par != nil {
-				// Returning mid-slice: release admission like the
-				// serial scheduler's yield-free error return.
-				n.net.parReleaseEarly(n)
-			}
 			return nil, fmt.Errorf("simnet: rank %d: peer rank %d crashed at t=%.6gs with no message for tag %d pending",
 				n.Rank, src, n.net.crashAt[src], tag)
 		}
@@ -1064,16 +938,12 @@ func (n *Node) RecvErr(src, tag int) ([]float64, error) {
 // advances to the deadline on a timeout. The reliability layer's ack
 // timers are built on this.
 func (n *Node) RecvDeadline(src, tag int, deadline float64) ([]float64, bool) {
-	n.begin()
 	key := msgKey{src, tag}
 	for {
 		if m := n.takeMatch(key); m != nil {
 			return n.consume(m), true
 		}
 		if n.clock >= deadline {
-			if n.net.par != nil {
-				n.net.parReleaseEarly(n)
-			}
 			return nil, false
 		}
 		n.blockKind = blockRecvDeadline
@@ -1086,9 +956,6 @@ func (n *Node) RecvDeadline(src, tag int, deadline float64) ([]float64, bool) {
 			if n.clock < deadline {
 				n.clock = deadline
 			}
-			if n.net.par != nil {
-				n.net.parReleaseEarly(n)
-			}
 			return nil, false
 		}
 	}
@@ -1099,27 +966,17 @@ func (n *Node) RecvDeadline(src, tag int, deadline float64) ([]float64, bool) {
 // receive-side protocol copies.
 func (n *Node) consume(m *message) []float64 {
 	if m.rendezv && !m.xferDone {
-		// Transfer has not started: run the rendezvous now. Under the
-		// parallel scheduler the sender may be concurrently entering
-		// Wait, so the completion flag and the sender's block state are
-		// accessed under the scheduler lock (Wait takes the same lock).
+		// Transfer has not started: run the rendezvous now.
 		c := n.net
 		link := c.model.link(m.sender.Rank, n.Rank)
 		start := max(m.posted, n.clock) + m.sender.linkLatency(link, n.Rank, max(m.posted, n.clock))
-		c.lockPar()
 		m.arrive = m.sender.reserveTransfer(n.Rank, m.size, start, link)
 		m.ready = m.arrive - link.LatencyUS*us
 		m.xferDone = true
 		// Unblock the sender if it is parked in Wait on this message.
 		if m.sender.blockKind == blockSendRendezvous && m.sender.waitSend == m {
-			m.sender.blockKind = blockNone
-			if c.par != nil {
-				c.applyStallLocked(m.sender)
-				c.pushElect(m.sender)
-			}
-			// Serial: the election scan sees the cleared blockKind.
+			c.wake(m.sender)
 		}
-		c.unlockPar()
 	}
 	n.clock = max(n.clock, m.arrive)
 	if m.sender != nil {
@@ -1174,17 +1031,4 @@ func lessKey(a, b msgKey) bool {
 		return a.src < b.src
 	}
 	return a.tag < b.tag
-}
-
-// BlockedReport returns a human-readable list of currently blocked
-// ranks (for tests and debugging tools); empty when nothing is blocked.
-func (c *cluster) blockedRanks() []int {
-	var out []int
-	for _, n := range c.nodes {
-		if !n.done && n.blockKind != blockNone {
-			out = append(out, n.Rank)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

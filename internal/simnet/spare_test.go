@@ -188,6 +188,39 @@ func TestRankStallDelaysDelivery(t *testing.T) {
 	}
 }
 
+func TestRankStallAbsorbedByBlockedWait(t *testing.T) {
+	// Rank 1's clock passes its freeze instant inside a RecvDeadline
+	// timeout, which returns without yielding, so the freeze is still
+	// pending when the rank blocks in Recv. It must fire when the
+	// message wakes the rank, before the receive completes: the 1ms
+	// freeze then ends while the rank is still waiting for a message
+	// that arrives after 2ms, and costs it nothing. Firing it only
+	// after the receive would wrongly add the full 1ms.
+	body := func(n *Node) {
+		if n.Rank == 0 {
+			n.Compute(2e-3)
+			n.Send(1, 1, []float64{42})
+			return
+		}
+		n.RecvDeadline(0, 9, 1e-3) // nobody sends tag 9
+		n.Recv(0, 1)
+	}
+	free, _, err := Run(2, fastModel(), body)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	stalled, _, err := RunWithFaults(2, fastModel(), &testStaller{rank: 1, start: 5e-4, dur: 1e-3}, body)
+	if err != nil {
+		t.Fatalf("RunWithFaults: %v", err)
+	}
+	if free[1] <= 2e-3 {
+		t.Fatalf("fault-free receive completed at %v, want after the 2ms send", free[1])
+	}
+	if stalled[1] != free[1] {
+		t.Errorf("stalled rank 1 wall = %v, want %v: a freeze inside a blocked wait must be absorbed", stalled[1], free[1])
+	}
+}
+
 // rejectingPlan implements PlanValidator and always refuses.
 type rejectingPlan struct {
 	testInjector

@@ -116,14 +116,23 @@ func hashSlab(s []complex128) string {
 }
 
 // TestTransposerP64Models drives the transposer at P=64 under the PMS
-// and Tanaka interconnect models with both the serial and the
-// host-parallel conservative scheduler: a few transpose round trips
-// must leave bit-identical slabs either way. This is the capacity
-// configuration the spectral solvers rely on for the paper-scale
-// sweeps.
+// and Tanaka interconnect models: a few distributed transpose round
+// trips must leave every rank's slab bit-identical to the same trips
+// through the one-rank transposer. This is the capacity configuration
+// the spectral solvers rely on for the paper-scale sweeps.
 func TestTransposerP64Models(t *testing.T) {
 	const n, p, trips = 64, 64, 3
 	full := fillMatrix(n, n)
+	ser, err := NewTransposer(n, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, tmp := append([]complex128(nil), full...), make([]complex128, n*n)
+	for k := 0; k < trips; k++ {
+		ser.Transpose(ref, tmp)
+		ref, tmp = tmp, ref
+	}
+	rloc := n / p
 	models := []struct {
 		name string
 		mach *machine.Machine
@@ -132,37 +141,27 @@ func TestTransposerP64Models(t *testing.T) {
 		{"tanaka", machine.Tanaka()},
 	}
 	for _, mc := range models {
-		var ref []string
-		for _, sched := range []simnet.Scheduler{simnet.SchedSerial, simnet.SchedParallel} {
-			model := *mc.mach.Net
-			model.Scheduler = sched
-			hashes := make([]string, p)
-			_, _, err := simnet.Run(p, &model, func(nd *simnet.Node) {
-				comm := mpi.World(nd)
-				fwd, err := NewTransposer(n, n, comm)
-				if err != nil {
-					panic(err)
-				}
-				rloc := n / p
-				slab := append([]complex128(nil), full[nd.Rank*rloc*n:(nd.Rank+1)*rloc*n]...)
-				tmp := make([]complex128, rloc*n)
-				for k := 0; k < trips; k++ {
-					fwd.Transpose(slab, tmp)
-					slab, tmp = tmp, slab
-				}
-				hashes[nd.Rank] = hashSlab(slab)
-			})
+		hashes := make([]string, p)
+		_, _, err := simnet.Run(p, mc.mach.Net, func(nd *simnet.Node) {
+			comm := mpi.World(nd)
+			fwd, err := NewTransposer(n, n, comm)
 			if err != nil {
-				t.Fatalf("%s/%v: %v", mc.name, sched, err)
+				panic(err)
 			}
-			if ref == nil {
-				ref = hashes
-				continue
+			slab := append([]complex128(nil), full[nd.Rank*rloc*n:(nd.Rank+1)*rloc*n]...)
+			tmp := make([]complex128, rloc*n)
+			for k := 0; k < trips; k++ {
+				fwd.Transpose(slab, tmp)
+				slab, tmp = tmp, slab
 			}
-			for r := range hashes {
-				if hashes[r] != ref[r] {
-					t.Fatalf("%s: rank %d slab hash differs between schedulers", mc.name, r)
-				}
+			hashes[nd.Rank] = hashSlab(slab)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", mc.name, err)
+		}
+		for r := range hashes {
+			if want := hashSlab(ref[r*rloc*n : (r+1)*rloc*n]); hashes[r] != want {
+				t.Fatalf("%s: rank %d slab differs from the one-rank transposer", mc.name, r)
 			}
 		}
 	}

@@ -78,8 +78,10 @@ func (s *Stages) End() {
 
 // AddPriced charges externally recorded counts and machine-priced
 // seconds to the currently active stage. Cluster-simulated runs use
-// this instead of Attach, because the global BLAS recorder cannot span
-// the scheduler yields between simulated ranks.
+// this instead of Attach: other ranks run at every scheduler yield, so
+// a global BLAS recording left open across a stage would collect their
+// calls too. Each rank instead records one communication-free section
+// at a time (no yield inside it) and charges the counts here.
 func (s *Stages) AddPriced(c *blas.Counts, seconds float64) {
 	if !s.active {
 		return
